@@ -7,7 +7,8 @@
 Run from the repository root. The Rust package in this directory is built
 with `cargo build --release --offline` into `$CARGO_TARGET_DIR` (default
 `.bench_build`), then run with every `ONN_*` variable removed from its
-environment, so the library's knobs sit at the values the workloads pin.
+environment except `ONN_THREADS=1`, so the library's knobs sit at the values
+the benchmark pins.
 Prints a provenance line, the binary's run-record line, and last the result
 line `{"correct", "attempted", "failed", "metrics"}`. Exits non-zero, without
 a result line, if the build or the run fails.
@@ -24,6 +25,17 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 RUN_TIMEOUT_S = 170
+# One compute thread: on a shared 2-vCPU host a second pool thread makes
+# every fork-join wait for the slower vCPU, and the witness measures the
+# host from one thread.
+PINNED_THREADS = "1"
+
+
+def pin_to_one_cpu():
+    """Runs the benchmark on one CPU, the lowest it may use, so that the
+    host-speed witness and the work it corrects always share a vCPU."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def command_output(cmd):
@@ -55,7 +67,9 @@ def provenance(args):
         "rustc": command_output(["rustc", "-V"]) or "unknown",
         "nproc": os.cpu_count(),
         "cpus_allowed": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "benchmark_cpu": min(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "onn_env_removed": sorted(k for k in os.environ if k.startswith("ONN_")),
+        "onn_env_set": {"ONN_THREADS": PINNED_THREADS},
         "workload": args.workload,
         "seed": args.seed,
     }
@@ -83,12 +97,13 @@ def main():
         return 1
 
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("ONN_")}
+    child_env["ONN_THREADS"] = PINNED_THREADS
     cmd = [str(target / "release" / "perfbench"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", str(args.trace)]
     try:
         run = subprocess.run(cmd, cwd=ROOT, env=child_env, stdout=subprocess.PIPE,
-                             text=True, timeout=RUN_TIMEOUT_S)
+                             text=True, timeout=RUN_TIMEOUT_S, preexec_fn=pin_to_one_cpu)
     except subprocess.TimeoutExpired:
         print(f"perfbench: run exceeded {RUN_TIMEOUT_S} s", file=sys.stderr)
         return 1

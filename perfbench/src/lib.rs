@@ -9,7 +9,8 @@
 //!   saturated phase (throughput) and a paced phase (latency).
 //!
 //! An untraced run (`trace = false`) reports the end-to-end metrics of
-//! [`END_TO_END`] with telemetry off. A traced run reports the per-layer
+//! [`END_TO_END`] with telemetry off, its compute-bound times normalised
+//! by the host-speed [`witness`] run before each unit. A traced run reports the per-layer
 //! metrics of [`PER_LAYER`]: timers around the calls into each layer,
 //! kept in this crate, plus the `adept_telemetry` snapshot the program
 //! already records. A layer a workload never enters reports `0`.
@@ -18,6 +19,7 @@ pub mod search;
 pub mod serve;
 pub mod stats;
 pub mod train;
+pub mod witness;
 
 use stats::{json_str, Metrics, Summary};
 use std::time::{Duration, Instant};
@@ -164,28 +166,40 @@ pub fn run(workload: &str, args: &RunArgs) -> Option<Outcome> {
     Some(out)
 }
 
-/// Runs `setup` `reps` times and returns the last state with the median
-/// set-up time in seconds. The first repetition is timed from process
-/// start, the others from their own start.
+/// Runs `setup` `reps` times and returns the last state, the median
+/// host-normalised set-up time in seconds, and every repetition's wall
+/// time in seconds. The first repetition is timed from process start, the
+/// others from their own start; each is normalised by a witness run just
+/// before it (see [`witness`]).
 pub fn repeated_setup<T>(args: &RunArgs, mut setup: impl FnMut() -> T) -> (T, f64, Vec<f64>) {
     let reps = args.setup_reps.max(1);
-    let mut times = Vec::with_capacity(reps);
+    let mut witness = witness::Witness::new();
+    let mut walls = Vec::with_capacity(reps);
+    let mut normalised = Vec::with_capacity(reps);
     let mut state = None;
     for i in 0..reps {
         // Drop the previous state first so every repetition allocates
         // from the same starting point.
         drop(state.take());
+        let w0 = Instant::now();
+        let w = witness.time(SETUP_WITNESS_REPS);
         let t0 = if i == 0 {
-            args.process_start
+            // Process start, less the witness's own time.
+            args.process_start + w0.elapsed()
         } else {
             Instant::now()
         };
         state = Some(setup());
-        times.push(t0.elapsed().as_secs_f64());
+        let wall = t0.elapsed();
+        walls.push(wall.as_secs_f64());
+        normalised.push(witness::normalise(wall, w) / 1e6);
     }
-    let median = stats::median(&times).expect("at least one set-up");
-    (state.expect("at least one set-up"), median, times)
+    let median = stats::median(&normalised).expect("at least one set-up");
+    (state.expect("at least one set-up"), median, walls)
 }
+
+/// Witness runs before each set-up repetition.
+const SETUP_WITNESS_REPS: usize = 3;
 
 /// Peak resident set size of this process (`VmHWM`), in MB; `0` where
 /// `/proc` is unavailable.

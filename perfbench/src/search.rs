@@ -7,6 +7,7 @@
 //! from the spans the program already records.
 
 use crate::stats;
+use crate::witness::{bracketed, normalise, Witness};
 use crate::{mix, put_shared_telemetry, repeated_setup, span_ns, us, Outcome, RunArgs};
 use adept::search::{search, AdeptConfig, SearchOutcome};
 use adept_photonics::Pdk;
@@ -17,6 +18,9 @@ use std::time::{Duration, Instant};
 const WARMUP_CALLS: u64 = 2;
 /// Calls per throughput chunk.
 const CHUNK: usize = 8;
+/// Witness runs before each call and after the last; their median is one
+/// witness time.
+const WITNESS_REPS: usize = 5;
 
 /// The per-call configuration: `AdeptConfig::quick(8, AMF, 240, 300)` cut
 /// to 3 epochs on 64 training and 32 test images.
@@ -79,39 +83,50 @@ pub fn run(args: &RunArgs) -> Outcome {
 
     // Timed phase; a traced run alternates untraced and traced calls.
     adept_telemetry::reset();
-    let mut calls: Vec<(f64, bool)> = Vec::new();
+    // (wall, witness just before, traced) per call.
+    let mut runs: Vec<(Duration, Duration, bool)> = Vec::new();
+    let mut witness = Witness::new();
     let budget = Duration::from_secs_f64(args.seconds);
     let began = Instant::now();
     while began.elapsed() < budget {
-        let i = calls.len() as u64;
+        let i = runs.len() as u64;
         let traced = args.trace && i % 2 == 1;
+        let w = witness.time(WITNESS_REPS);
         adept_telemetry::set_enabled(traced);
         let (wall, verdict) = call(mix(args.seed, i));
         adept_telemetry::set_enabled(false);
         out.check(verdict.is_ok(), || {
             format!("call {i}: {}", verdict.clone().unwrap_err())
         });
-        calls.push((us(wall), traced));
+        runs.push((wall, w, traced));
     }
     let snap = adept_telemetry::snapshot();
+    let before: Vec<Duration> = runs.iter().map(|r| r.1).collect();
+    let last = witness.time(WITNESS_REPS);
+    // (wall µs, host-normalised µs, traced) per call.
+    let calls: Vec<(f64, f64, bool)> = runs
+        .iter()
+        .zip(bracketed(&before, last))
+        .map(|(&(wall, _, traced), w)| (us(wall), normalise(wall, w), traced))
+        .collect();
 
-    let pick = |want: bool| -> Vec<f64> {
-        calls
-            .iter()
-            .filter(|(_, t)| *t == want)
-            .map(|&(w, _)| w)
-            .collect()
+    let pick = |want: bool, f: fn(&(f64, f64, bool)) -> f64| -> Vec<f64> {
+        calls.iter().filter(|c| c.2 == want).map(f).collect()
     };
-    let (untraced, traced) = (pick(false), pick(true));
+    let (untraced, traced) = (pick(false, |c| c.1), pick(true, |c| c.1));
+    let traced_wall = pick(true, |c| c.0);
     // The tail is over the whole run: ≈200 calls put it near p95.
     let lat = stats::summarize(&untraced, None).unwrap_or_default();
+    let raw_lat = stats::summarize(&pick(false, |c| c.0), None).unwrap_or_default();
     let call_s: Vec<f64> = untraced.iter().map(|w| w / 1e6).collect();
     let chunk_rates = stats::chunk_rates(&call_s, 1.0, CHUNK);
     out.note("units", "search() calls");
+    witness.note(&mut out);
     out.note("calls", calls.len());
     out.note("traced_calls", traced.len());
-    out.note_summary("call_us", &lat);
-    out.note("setup_s_reps", format!("{setup_times:?}"));
+    out.note_summary("call_us_host_normalised", &lat);
+    out.note_summary("call_us_wall", &raw_lat);
+    out.note("setup_s_wall_reps", format!("{setup_times:?}"));
     out.note("warmup_calls_per_setup", WARMUP_CALLS);
     crate::effective_config(&mut out, args.trace);
 
@@ -128,7 +143,7 @@ pub fn run(args: &RunArgs) -> Outcome {
         return out;
     }
     let n = traced.len().max(1) as f64;
-    let call_ms = traced.iter().sum::<f64>() / n / 1e3;
+    let call_ms = traced_wall.iter().sum::<f64>() / n / 1e3;
     let backward_ms = span_ns(&snap, "backward").0 / n / 1e6;
     let mesh_ms = span_ns(&snap, "mesh_build").0 / n / 1e6;
     let unattributed_ms = call_ms - backward_ms - mesh_ms;

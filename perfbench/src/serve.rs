@@ -15,6 +15,7 @@
 //! Every `ONN_SERVE_*` knob is pinned in [`serve_config`].
 
 use crate::stats::{self, Metrics};
+use crate::witness::{bracketed, normalise, Witness};
 use crate::{mix, put_shared_telemetry, repeated_setup, span_ns, us, Outcome, RunArgs};
 use adept_infer::serve::{serve, serve_with, BatchRunner, ServeConfig, ServeReport};
 use adept_infer::{ExecPlan, PlanPrecision};
@@ -38,6 +39,9 @@ const BATCH: usize = 8;
 /// Requests per session whose output is checked against a lone
 /// `run_batch(…, 1, …)`.
 const CHECKED: usize = 16;
+/// Witness runs before each session and after the last; their median is
+/// one witness time.
+const WITNESS_REPS: usize = 3;
 /// Fixed warm-up inside each set-up: one session of each phase.
 const WARMUP_SAT: usize = 256;
 const WARMUP_PACED: usize = 64;
@@ -153,14 +157,24 @@ impl BatchRunner for TimedRunner {
 struct Session {
     report: ServeReport,
     traced: bool,
+    /// The witness's time: just before the session, and once every
+    /// session has run, the mean of the runs just before and after it.
+    witness: Duration,
     /// `(samples, µs)` per mini-batch; empty when untraced.
     batches: Vec<(usize, f64)>,
 }
 
 /// Runs one session of `stream`, traced or not, and checks its outputs.
-fn session(plan: &ExecPlan, stream: &mut Stream, traced: bool, out: &mut Outcome) -> Session {
+fn session(
+    plan: &ExecPlan,
+    stream: &mut Stream,
+    traced: bool,
+    witness: &mut Witness,
+    out: &mut Outcome,
+) -> Session {
     let cfg = serve_config(stream.n, stream.spacing);
     let log = Arc::new(Mutex::new(Vec::with_capacity(stream.n)));
+    let witness = witness.time(WITNESS_REPS);
     adept_telemetry::set_enabled(traced);
     let (outputs, report) = if traced {
         let make = || -> Box<dyn BatchRunner> {
@@ -213,6 +227,7 @@ fn session(plan: &ExecPlan, stream: &mut Stream, traced: bool, out: &mut Outcome
     Session {
         report,
         traced,
+        witness,
         batches,
     }
 }
@@ -233,30 +248,68 @@ pub fn run(args: &RunArgs) -> Outcome {
     let budget = Duration::from_secs_f64(args.seconds);
     let began = Instant::now();
     let mut cycle = 0usize;
+    let mut witness = Witness::new();
     while began.elapsed() < budget {
         let traced = args.trace && cycle % 2 == 1;
-        sat.push(session(&st.plan, &mut st.sat, traced, &mut out));
-        paced.push(session(&st.plan, &mut st.paced, traced, &mut out));
+        let w = &mut witness;
+        sat.push(session(&st.plan, &mut st.sat, traced, w, &mut out));
+        paced.push(session(&st.plan, &mut st.paced, traced, w, &mut out));
         cycle += 1;
+    }
+    // Sessions ran saturated, paced, saturated, …: each gets the mean of
+    // the witness runs just before and just after it.
+    let before: Vec<Duration> = sat
+        .iter()
+        .zip(&paced)
+        .flat_map(|(s, p)| [s.witness, p.witness])
+        .collect();
+    let around = bracketed(&before, witness.time(WITNESS_REPS));
+    for (i, (s, p)) in sat.iter_mut().zip(paced.iter_mut()).enumerate() {
+        s.witness = around[2 * i];
+        p.witness = around[2 * i + 1];
     }
     let snap = adept_telemetry::snapshot();
 
     let pick = |v: &[Session], want: bool, f: fn(&Session) -> f64| -> Vec<f64> {
         v.iter().filter(|s| s.traced == want).map(f).collect()
     };
-    let rate = |s: &Session| s.report.req_per_sec;
-    let p50 = |s: &Session| us(s.report.p50_latency);
-    let p99 = |s: &Session| us(s.report.p99_latency);
+    // A saturated session is all plan execution: its time is
+    // host-normalised whole. A median paced request spends about half its
+    // latency waiting for arrivals, a timer, and half executing its batch:
+    // only the execution share (the session's median `run_batch`) is
+    // normalised. The p99 paced request is the first of a batch, waiting
+    // for seven more arrivals: its latency is the producer's sleep cadence
+    // and stays in wall time.
+    //
+    // Served requests per second of session time over the saturated
+    // sessions: a ratio of sums, which moves smoothly with the share of
+    // fast sessions where a median of session rates jumps between them.
+    let sat_rate_of = |want: bool, time: fn(&Session) -> f64| -> f64 {
+        let picked = || sat.iter().filter(|s| s.traced == want);
+        let served: usize = picked().map(|s| s.report.served).sum();
+        served as f64 / picked().map(time).sum::<f64>().max(1e-12)
+    };
+    let normalised_s = |s: &Session| normalise(s.report.elapsed, s.witness) / 1e6;
+    let wall_s = |s: &Session| s.report.elapsed.as_secs_f64();
+    let p50 = |s: &Session| {
+        let r = &s.report;
+        us(r.p50_latency) + normalise(r.exec_p50, s.witness) - us(r.exec_p50)
+    };
+    let wall_p50 = |s: &Session| us(s.report.p50_latency);
+    let wall_p99 = |s: &Session| us(s.report.p99_latency);
     let med = |v: Vec<f64>| stats::median(&v).unwrap_or(0.0);
-    let sat_rate = med(pick(&sat, false, rate));
+    let sat_rate = sat_rate_of(false, normalised_s);
     let lat_p50 = med(pick(&paced, false, p50));
-    let lat_p99 = med(pick(&paced, false, p99));
+    let lat_p99 = med(pick(&paced, false, wall_p99));
 
     out.note(
         "units",
         "requests: saturated sessions give throughput, paced sessions latency",
     );
+    witness.note(&mut out);
     out.note("saturated_sessions", sat.len());
+    out.note("saturated_req_per_wall_s", sat_rate_of(false, wall_s));
+    out.note("paced_p50_us_wall", med(pick(&paced, false, wall_p50)));
     out.note("paced_sessions", paced.len());
     out.note(
         "traced_sessions_per_phase",
@@ -277,7 +330,7 @@ pub fn run(args: &RunArgs) -> Outcome {
              plan=F64 plan_max_batch={PLAN_MAX_BATCH}"
         ),
     );
-    out.note("setup_s_reps", format!("{setup_times:?}"));
+    out.note("setup_s_wall_reps", format!("{setup_times:?}"));
     crate::effective_config(&mut out, args.trace);
 
     let m = &mut out.metrics;
@@ -294,7 +347,7 @@ pub fn run(args: &RunArgs) -> Outcome {
         "ms",
         stats::median(&compile_times).unwrap_or(0.0),
     );
-    let traced_rate = med(pick(&sat, true, rate));
+    let traced_rate = sat_rate_of(true, normalised_s);
     m.put(
         "bench.units",
         "count",

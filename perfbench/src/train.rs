@@ -8,6 +8,7 @@
 //! [`check_against_shipped`] pins it to the shipped loop bit for bit.
 
 use crate::stats::{self, Metrics};
+use crate::witness::{bracketed, normalise, Witness};
 use crate::{put_shared_telemetry, repeated_setup, us, Outcome, RunArgs};
 use adept_autodiff::Graph;
 use adept_datasets::{Dataset, DatasetKind, SyntheticConfig};
@@ -37,6 +38,9 @@ const TRACE_BLOCK: usize = 16;
 const CHUNK: usize = 25;
 /// Steps per latency-tail window: each window's tail is its p90.
 const TAIL_WINDOW: usize = 100;
+/// Witness runs before each step and after the last; their median is one
+/// witness time.
+const WITNESS_REPS: usize = 1;
 
 /// The workload's dataset: 12×12×1 MNIST-like images, 10 classes.
 pub fn dataset(seed: u64, n_train: usize, n_test: usize) -> (Dataset, Dataset) {
@@ -261,15 +265,25 @@ pub fn run(args: &RunArgs) -> Outcome {
     // in the same stretch of machine time.
     adept_telemetry::reset();
     let mut steps: Vec<(Step, bool)> = Vec::new();
+    // The witness just before each step.
+    let mut before: Vec<Duration> = Vec::new();
+    let mut witness = Witness::new();
     let budget = Duration::from_secs_f64(args.seconds);
     let began = Instant::now();
     while began.elapsed() < budget {
         let traced = args.trace && (steps.len() / TRACE_BLOCK) % 2 == 1;
+        before.push(witness.time(WITNESS_REPS));
         adept_telemetry::set_enabled(traced);
         steps.push((driver.step(), traced));
+        adept_telemetry::set_enabled(false);
     }
-    let loop_wall = began.elapsed();
-    adept_telemetry::set_enabled(false);
+    let last = witness.time(WITNESS_REPS);
+    // Host-normalised time (µs) of each step, in step order.
+    let norm: Vec<f64> = steps
+        .iter()
+        .zip(bracketed(&before, last))
+        .map(|((s, _), w)| normalise(s.t.wall, w))
+        .collect();
     let snap = adept_telemetry::snapshot();
 
     for (i, (s, _)) in steps.iter().enumerate() {
@@ -281,22 +295,34 @@ pub fn run(args: &RunArgs) -> Outcome {
     let shipped = check_against_shipped(args.seed);
     out.check(shipped.is_ok(), || shipped.clone().unwrap_err());
 
-    let untraced: Vec<&Step> = steps.iter().filter(|(_, t)| !t).map(|(s, _)| s).collect();
-    let traced: Vec<&Step> = steps.iter().filter(|(_, t)| *t).map(|(s, _)| s).collect();
-    let walls = |v: &[&Step]| -> Vec<f64> { v.iter().map(|s| us(s.t.wall)).collect() };
-    let lat = stats::summarize(&walls(&untraced), Some(TAIL_WINDOW)).unwrap_or_default();
+    let pick = |want: bool| -> Vec<f64> {
+        steps
+            .iter()
+            .zip(&norm)
+            .filter(|((_, t), _)| *t == want)
+            .map(|(_, &n)| n)
+            .collect()
+    };
+    let (untraced, traced) = (pick(false), pick(true));
+    let lat = stats::summarize(&untraced, Some(TAIL_WINDOW)).unwrap_or_default();
+    let raw: Vec<f64> = steps
+        .iter()
+        .filter(|(_, t)| !t)
+        .map(|(s, _)| us(s.t.wall))
+        .collect();
+    let raw_lat = stats::summarize(&raw, Some(TAIL_WINDOW)).unwrap_or_default();
     let samples: usize = steps.iter().map(|(s, _)| s.samples).sum();
-    let step_s: Vec<f64> = untraced.iter().map(|s| s.t.wall.as_secs_f64()).collect();
+    let step_wall_s: f64 = steps.iter().map(|(s, _)| s.t.wall.as_secs_f64()).sum();
+    let step_s: Vec<f64> = untraced.iter().map(|n| n / 1e6).collect();
     let chunk_rates = stats::chunk_rates(&step_s, BATCH as f64, CHUNK);
     out.note("units", "training steps of 32 samples");
+    witness.note(&mut out);
     out.note("steps", steps.len());
     out.note("traced_steps", traced.len());
-    out.note_summary("step_us", &lat);
-    out.note("setup_s_reps", format!("{setup_times:?}"));
-    out.note(
-        "loop_samples_per_s",
-        samples as f64 / loop_wall.as_secs_f64(),
-    );
+    out.note_summary("step_us_host_normalised", &lat);
+    out.note_summary("step_us_wall", &raw_lat);
+    out.note("setup_s_wall_reps", format!("{setup_times:?}"));
+    out.note("samples_per_wall_s", samples as f64 / step_wall_s);
     out.note("throughput_chunks", chunk_rates.len());
     crate::effective_config(&mut out, args.trace);
 
@@ -313,7 +339,7 @@ pub fn run(args: &RunArgs) -> Outcome {
         return out;
     }
     put_layers(m, &steps, &snap, traced.len());
-    let traced_median = stats::median(&walls(&traced)).unwrap_or(0.0);
+    let traced_median = stats::median(&traced).unwrap_or(0.0);
     m.put("bench.units", "count", steps.len() as f64);
     m.put(
         "bench.trace_overhead",
