@@ -214,7 +214,7 @@ pub fn run_sweep(topologies: &[(String, Backend)], settings: &SweepSettings) -> 
     let pdk = Pdk::amf();
 
     // Phase 1 (sequential): per-topology clean training + per-cell plan
-    // compilation. The mesh builds inside already fan out on the pool.
+    // compilation. The GEMMs inside the mesh builds already run pooled.
     let mut reports = Vec::new();
     let mut bundles = Vec::new();
     let mut cells: Vec<SweepCell> = Vec::new();

@@ -378,7 +378,7 @@ impl SearchModel {
         let fu = build_mesh_frame(ctx, &self.handles.u, k, &arch.gumbel_u, arch.tau);
         let fv = build_mesh_frame(ctx, &self.handles.v, k, &arch.gumbel_v, arch.tau);
         // All three weights depend only on the frames, not on activations:
-        // build their mesh walks concurrently, spliced in layer order.
+        // build them up front, in layer order.
         prebuild_super_ptc_weights(ctx, &[&self.conv1, &self.conv2, &self.fc], &fu, &fv);
         let n = x.shape()[0];
         // conv1 → bn → relu
@@ -503,9 +503,7 @@ pub fn search(cfg: &AdeptConfig) -> SearchOutcome {
             if let Some(p) = feval.penalty {
                 loss = loss.add(p);
             }
-            // Per-weight build segments replay concurrently; bit-identical
-            // to the serial backward at any thread count.
-            let grads = graph.backward_parallel(loss);
+            let grads = graph.backward(loss);
             if !arch_phase && !cfg.ablation.no_alm {
                 alm.update(&[(&fu, 0), (&fv, blocks_per_side)]);
             }

@@ -9,14 +9,13 @@
 //! Search weights build through the unified mesh-weight engine:
 //! [`SuperPtcWeight::bind`] pairs a weight with the step's frames into a
 //! [`BoundSuperWeight`] implementing [`adept_nn::mesh::MeshWeight`], so the
-//! same stage→record→splice scheduler (and the parallel backward replay)
-//! drives fixed-topology and searched meshes alike.
+//! same stage-then-build walk drives fixed-topology and searched meshes
+//! alike.
 
 use adept_autodiff::{
-    batched_phase_rotate, batched_tile_product, batched_tile_product_grid, record_segment,
-    record_segment_pair, stack, Graph, ImportSpec, TapeSegment, Var,
+    batched_phase_rotate, batched_tile_product, batched_tile_product_grid, stack, Graph, Var,
 };
-use adept_nn::mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight, StagedBuild};
+use adept_nn::mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight, Staged};
 use adept_nn::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -429,24 +428,13 @@ pub fn batched_super_unitary<'g>(
     phases: Var<'g>,
     normalize_rows: bool,
 ) -> (Var<'g>, Var<'g>) {
-    batched_super_unitary_on(ctx.graph, frame, phases, normalize_rows)
-}
-
-/// [`batched_super_unitary`] against a bare [`Graph`] — the form the
-/// parallel build scheduler records onto private sub-tapes, where the frame
-/// variables arrive as segment imports instead of `ForwardCtx` parameters.
-pub fn batched_super_unitary_on<'g>(
-    graph: &'g Graph,
-    frame: &MeshFrame<'g>,
-    phases: Var<'g>,
-    normalize_rows: bool,
-) -> (Var<'g>, Var<'g>) {
     let k = frame.k;
     let n = frame.blocks.len();
     let shape = phases.shape();
     assert_eq!(shape.len(), 3, "phases must be [T, n_blocks, K]");
     assert_eq!(&shape[1..], &[n, k], "phases must be [T, n_blocks, K]");
     let t = shape[0];
+    let graph = ctx.graph;
     let mut m_re = graph.constant(Tensor::eye_batched(t, k));
     let mut m_im = graph.constant(Tensor::zeros(&[t, k, k]));
     for (bi, block) in frame.blocks.iter().enumerate().rev() {
@@ -490,27 +478,6 @@ pub fn batched_super_unitary_on<'g>(
     }
 }
 
-/// Variables of one [`MeshFrame`] block imported into a segment build.
-const FRAME_VARS_PER_BLOCK: usize = 5;
-
-/// Exports every per-block frame variable for import into a sub-tape build
-/// (order: `p_relaxed, t_binary, kappa, gate, exec_prob` per block).
-fn frame_imports(frame: &MeshFrame<'_>) -> Vec<ImportSpec> {
-    frame
-        .blocks
-        .iter()
-        .flat_map(|b| {
-            [
-                b.p_relaxed.export_import(),
-                b.t_binary.export_import(),
-                b.kappa.export_import(),
-                b.gate.export_import(),
-                b.exec_prob.export_import(),
-            ]
-        })
-        .collect()
-}
-
 /// Fingerprint of the frame pair a search weight is built against: the
 /// fold of every block variable's tape id. Stored alongside the prebuilt
 /// cache entry so a `build` call presenting *different* frames (e.g.
@@ -531,25 +498,6 @@ fn frames_tag(frame_u: &MeshFrame<'_>, frame_v: &MeshFrame<'_>) -> u64 {
     tag
 }
 
-/// Rebuilds a [`MeshFrame`] over segment import proxies (inverse of
-/// [`frame_imports`]).
-fn frame_from_proxies<'s>(proxies: &[Var<'s>], k: usize, dc_start: &[usize]) -> MeshFrame<'s> {
-    assert_eq!(proxies.len(), FRAME_VARS_PER_BLOCK * dc_start.len());
-    let blocks = proxies
-        .chunks_exact(FRAME_VARS_PER_BLOCK)
-        .zip(dc_start)
-        .map(|(c, &s)| BlockFrame {
-            p_relaxed: c[0],
-            t_binary: c[1],
-            kappa: c[2],
-            gate: c[3],
-            exec_prob: c[4],
-            dc_start: s,
-        })
-        .collect();
-    MeshFrame { blocks, k }
-}
-
 /// A search-time PTC-tiled weight: like `adept_nn::onn::PtcWeight` but the
 /// topology factors come from the shared SuperMesh frame.
 pub struct SuperPtcWeight {
@@ -565,19 +513,12 @@ pub struct SuperPtcWeight {
 }
 
 /// A [`SuperPtcWeight`] bound to the step's SuperMesh frames — the
-/// [`MeshWeight`] form the unified build engine schedules.
-///
-/// Binding captures the frame variables as segment imports and the
-/// per-block coupler offsets as plain values, so the binding itself is
-/// `Sync` and its mesh walks can record on pool workers while the
-/// non-`Sync` tape stays on the main thread. Create one with
+/// [`MeshWeight`] form the unified build engine schedules. Create one with
 /// [`SuperPtcWeight::bind`].
-pub struct BoundSuperWeight<'w> {
+pub struct BoundSuperWeight<'w, 'g> {
     weight: &'w SuperPtcWeight,
-    /// U-frame then V-frame variables, in [`frame_imports`] order.
-    frame_vars: Vec<ImportSpec>,
-    dc_start_u: Vec<usize>,
-    dc_start_v: Vec<usize>,
+    frame_u: &'w MeshFrame<'g>,
+    frame_v: &'w MeshFrame<'g>,
     tag: u64,
 }
 
@@ -659,38 +600,30 @@ impl SuperPtcWeight {
     ///
     /// Internally this binds the weight to the frames
     /// ([`SuperPtcWeight::bind`]) and runs the unified [`MeshWeight`]
-    /// engine ([`build_mesh_weight`]) — the same three-phase walk every
-    /// mesh family uses. The prebuilt cache is consulted before binding:
-    /// the hot post-prebuild path pays only the frame-tag fold, not the
-    /// full frame export.
+    /// engine ([`build_mesh_weight`]) — the same stage-then-build walk
+    /// every mesh family uses.
     pub fn build<'g>(
         &self,
         ctx: &ForwardCtx<'g, '_>,
         frame_u: &MeshFrame<'g>,
         frame_v: &MeshFrame<'g>,
     ) -> Var<'g> {
-        if let Some(prebuilt) = ctx.take_prebuilt(self.uid, frames_tag(frame_u, frame_v)) {
-            return prebuilt;
-        }
         build_mesh_weight(ctx, &self.bind(frame_u, frame_v))
     }
 
     /// Binds this weight to the step's SuperMesh frames, producing the
     /// [`MeshWeight`] the unified build engine schedules. Binding only
-    /// reads the frames (variable exports, coupler offsets, the cache
-    /// tag) — it records nothing, so tapes are unaffected.
-    pub fn bind<'w>(
+    /// reads the frames (the cache tag) — it records nothing, so tapes are
+    /// unaffected.
+    pub fn bind<'w, 'g>(
         &'w self,
-        frame_u: &MeshFrame<'_>,
-        frame_v: &MeshFrame<'_>,
-    ) -> BoundSuperWeight<'w> {
-        let mut frame_vars = frame_imports(frame_u);
-        frame_vars.extend(frame_imports(frame_v));
+        frame_u: &'w MeshFrame<'g>,
+        frame_v: &'w MeshFrame<'g>,
+    ) -> BoundSuperWeight<'w, 'g> {
         BoundSuperWeight {
             weight: self,
-            frame_vars,
-            dc_start_u: frame_u.blocks.iter().map(|b| b.dc_start).collect(),
-            dc_start_v: frame_v.blocks.iter().map(|b| b.dc_start).collect(),
+            frame_u,
+            frame_v,
             tag: frames_tag(frame_u, frame_v),
         }
     }
@@ -737,7 +670,7 @@ impl SuperPtcWeight {
     }
 }
 
-impl<'g> MeshWeight<'g> for BoundSuperWeight<'_> {
+impl<'g> MeshWeight<'g> for BoundSuperWeight<'_, 'g> {
     fn uid(&self) -> u64 {
         self.weight.uid
     }
@@ -748,87 +681,37 @@ impl<'g> MeshWeight<'g> for BoundSuperWeight<'_> {
 
     /// The fold of the bound frame variables' tape ids: a `build` call
     /// presenting *different* frames (e.g. rebuilt with a fresh Gumbel
-    /// sample) than the scheduler used panics instead of silently wiring
+    /// sample) than the prebuild used panics instead of silently wiring
     /// the cached weight to the wrong variables.
     fn build_tag(&self) -> u64 {
         self.tag
     }
 
-    /// Build phase 1 (main thread): creates the phase-parameter leaves on
-    /// the shared tape in the serial walk's order, followed by the bound
-    /// frame variables as segment imports.
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild {
+    /// Build phase 1: creates the phase-parameter leaves on the tape.
+    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> Staged<'g> {
         let w = self.weight;
-        let n_tiles = w.grid_rows * w.grid_cols;
-        let mut imports = Vec::with_capacity(2 * n_tiles + self.frame_vars.len());
-        for &id in &w.phases_u {
-            imports.push(ctx.param(id).export_import());
-        }
-        for &id in &w.phases_v {
-            imports.push(ctx.param(id).export_import());
-        }
-        imports.extend(self.frame_vars.iter().cloned());
-        StagedBuild {
-            imports,
-            ..StagedBuild::default()
+        Staged {
+            leaves: w
+                .phases_u
+                .iter()
+                .chain(&w.phases_v)
+                .map(|&id| ctx.param(id))
+                .collect(),
+            ..Staged::default()
         }
     }
 
-    /// Build phase 2 (any thread): records `[stack, stack, U-walk, V-walk]`
-    /// on a private sub-tape; with `parallel_uv` the two mesh walks record
-    /// as concurrent sub-tape builds spliced back in U-then-V order.
-    fn record_build_segment(&self, staged: &StagedBuild, parallel_uv: bool) -> TapeSegment {
+    /// Build phase 2: records `[stack, stack, U-walk, V-walk]` against the
+    /// bound frames, then the Σ product and fused grid assembly.
+    fn build_staged(&self, ctx: &ForwardCtx<'g, '_>, staged: Staged<'g>) -> Var<'g> {
         let w = self.weight;
         let k = w.k;
         let n_tiles = w.grid_rows * w.grid_cols;
-        record_segment(&staged.imports, |g, proxies| {
-            let (pu, rest) = proxies.split_at(n_tiles);
-            let (pv, rest) = rest.split_at(n_tiles);
-            let (fu_vars, fv_vars) = rest.split_at(FRAME_VARS_PER_BLOCK * self.dc_start_u.len());
-            let su = stack(pu); // [T, B, K]
-            let sv = stack(pv);
-            let (u_re, u_im, v_re, v_im) = if parallel_uv {
-                let mut imports_u = vec![su.export_import()];
-                imports_u.extend(fu_vars.iter().map(Var::export_import));
-                let mut imports_v = vec![sv.export_import()];
-                imports_v.extend(fv_vars.iter().map(Var::export_import));
-                let (dcu, dcv) = (&self.dc_start_u, &self.dc_start_v);
-                let (seg_u, seg_v) = record_segment_pair(
-                    &imports_u,
-                    |g2, v| {
-                        let frame = frame_from_proxies(&v[1..], k, dcu);
-                        let (re, im) = batched_super_unitary_on(g2, &frame, v[0], true);
-                        vec![re, im]
-                    },
-                    &imports_v,
-                    |g2, v| {
-                        let frame = frame_from_proxies(&v[1..], k, dcv);
-                        let (re, im) = batched_super_unitary_on(g2, &frame, v[0], false);
-                        vec![re, im]
-                    },
-                );
-                let u = g.splice(seg_u);
-                let v = g.splice(seg_v);
-                (u[0], u[1], v[0], v[1])
-            } else {
-                let frame_u = frame_from_proxies(fu_vars, k, &self.dc_start_u);
-                let frame_v = frame_from_proxies(fv_vars, k, &self.dc_start_v);
-                let (u_re, u_im) = batched_super_unitary_on(g, &frame_u, su, true);
-                let (v_re, v_im) = batched_super_unitary_on(g, &frame_v, sv, false);
-                (u_re, u_im, v_re, v_im)
-            };
-            vec![u_re, u_im, v_re, v_im]
-        })
-    }
-
-    /// Build phase 3 (main thread): splices the mesh-walk segment into the
-    /// step tape and records the Σ product and fused grid assembly.
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g> {
-        let w = self.weight;
-        let k = w.k;
-        let n_tiles = w.grid_rows * w.grid_cols;
-        let spliced = ctx.graph.splice(segment);
-        let (u_re, u_im, v_re, v_im) = (spliced[0], spliced[1], spliced[2], spliced[3]);
+        let (pu, pv) = staged.leaves.split_at(n_tiles);
+        let su = stack(pu); // [T, B, K]
+        let sv = stack(pv);
+        let (u_re, u_im) = batched_super_unitary(ctx, self.frame_u, su, true);
+        let (v_re, v_im) = batched_super_unitary(ctx, self.frame_v, sv, false);
         let sigs: Vec<Var<'g>> = w.sigma.iter().map(|&id| ctx.param(id)).collect();
         let sig = stack(&sigs).reshape(&[n_tiles, 1, k]);
         let us_re = u_re.mul(sig);
@@ -846,19 +729,17 @@ impl<'g> MeshWeight<'g> for BoundSuperWeight<'_> {
     }
 }
 
-/// Builds every search weight's mesh-unitary segment concurrently against
-/// the step's shared SuperMesh frames and registers the finished variables
-/// in `ctx`'s prebuilt cache — the frame-bound convenience form of the
-/// unified [`prebuild_mesh_weights`] engine (staging, splicing and the Σ
-/// products run on the main thread in layer-index order, so the resulting
-/// tape is bit-identical to the serial walk at any thread count).
+/// Builds every search weight against the step's shared SuperMesh frames
+/// and registers the finished variables in `ctx`'s prebuilt cache — the
+/// frame-bound convenience form of the unified [`prebuild_mesh_weights`]
+/// engine.
 pub fn prebuild_super_ptc_weights<'g>(
     ctx: &ForwardCtx<'g, '_>,
     weights: &[&SuperPtcWeight],
     frame_u: &MeshFrame<'g>,
     frame_v: &MeshFrame<'g>,
 ) {
-    let bound: Vec<BoundSuperWeight<'_>> =
+    let bound: Vec<BoundSuperWeight<'_, 'g>> =
         weights.iter().map(|w| w.bind(frame_u, frame_v)).collect();
     let dyns: Vec<&dyn MeshWeight<'g>> = bound.iter().map(|b| b as _).collect();
     prebuild_mesh_weights(ctx, &dyns);
@@ -1124,8 +1005,8 @@ mod tests {
 
     #[test]
     fn prebuild_super_weights_is_bit_identical_across_thread_counts() {
-        // Shared frames + two ragged weights: the parallel scheduler must
-        // reproduce the serial tape exactly — same node count, values and
+        // Shared frames + two ragged weights: the prebuild must reproduce
+        // the direct-build tape exactly — same node count, values and
         // per-parameter gradients — at every thread count.
         let (mut store, h) = setup(4, 3, 1);
         let w1 = SuperPtcWeight::new(&mut store, "w1", 6, 5, 4, 3, 70);

@@ -100,7 +100,7 @@ pub fn alm_trace(cfg: &AlmTraceConfig) -> Vec<AlmTracePoint> {
         if let Some(p) = alm.penalty(&fv, cfg.n_blocks) {
             loss = loss.add(p);
         }
-        let grads = graph.backward_parallel(loss);
+        let grads = graph.backward(loss);
         out.push(AlmTracePoint {
             step,
             mean_lambda: alm.mean_lambda(),
@@ -220,7 +220,7 @@ pub fn footprint_trace(cfg: &FpenTraceConfig) -> Vec<FpenTracePoint> {
             expected_f_kum2: feval.expected_kum2,
             penalty_over_beta: penalty_value / cfg.beta,
         });
-        let grads = graph.backward_parallel(loss);
+        let grads = graph.backward(loss);
         let updates = ctx.into_param_grads(&grads);
         store.zero_grads();
         store.accumulate_many(&updates);

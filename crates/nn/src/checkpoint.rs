@@ -381,7 +381,20 @@ impl Checkpoint {
                 "malformed `end <checksum>` line (or trailing garbage after it)",
             ));
         }
-        let stored = u64::from_str_radix(end_line.split_whitespace().nth(1).unwrap(), 16)
+        // Only the exact form `to_text` writes: `from_str_radix` alone also
+        // takes upper-case digits, and a flipped case bit must not pass.
+        let sum_token = end_line.split_whitespace().nth(1).unwrap();
+        if sum_token.len() != 16
+            || !sum_token
+                .bytes()
+                .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
+            return Err(CheckpointError::at(
+                end_line_no,
+                "checksum is not 16 lower-case hex digits",
+            ));
+        }
+        let stored = u64::from_str_radix(sum_token, 16)
             .map_err(|_| CheckpointError::at(end_line_no, "checksum is not 16 hex digits"))?;
         let actual = fnv1a(body.as_bytes());
         if stored != actual {
@@ -425,8 +438,14 @@ impl Checkpoint {
                 },
                 Some("topology") if tokens.len() == 5 => {
                     let k = parse_usize(line_no, tokens[2])?;
-                    let nu = parse_usize(line_no, tokens[3])?;
-                    let nv = parse_usize(line_no, tokens[4])?;
+                    if k < 2 {
+                        return Err(CheckpointError::at(
+                            line_no,
+                            format!("mesh size k must be ≥ 2, got {k}"),
+                        ));
+                    }
+                    let nu = cur.count(line_no, tokens[3], "ublock")?;
+                    let nv = cur.count(line_no, tokens[4], "vblock")?;
                     let u = parse_mesh(&mut cur, "ublock", k, nu)?;
                     let v = parse_mesh(&mut cur, "vblock", k, nv)?;
                     Backend::Topology { u, v }
@@ -453,7 +472,7 @@ impl Checkpoint {
         if tokens.len() != 2 || tokens[0] != "params" {
             return Err(CheckpointError::at(line_no, "expected `params <count>`"));
         }
-        let n_params = parse_usize(line_no, tokens[1])?;
+        let n_params = cur.count(line_no, tokens[1], "param")?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
             let (line_no, tokens) = cur.expect("param line")?;
@@ -465,7 +484,7 @@ impl Checkpoint {
             }
             let name = tokens[1].to_owned();
             let ndim = parse_usize(line_no, tokens[2])?;
-            if tokens.len() < 4 + ndim {
+            if ndim > tokens.len() - 4 {
                 return Err(CheckpointError::at(
                     line_no,
                     format!("param `{name}` declares {ndim} dims but the line is too short"),
@@ -473,7 +492,8 @@ impl Checkpoint {
             }
             let shape = parse_usizes(line_no, &tokens[3..3 + ndim])?;
             let len = parse_usize(line_no, tokens[3 + ndim])?;
-            if shape.iter().product::<usize>() != len {
+            let scalars = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+            if scalars != Some(len) {
                 return Err(CheckpointError::at(
                     line_no,
                     format!("param `{name}`: shape {shape:?} does not hold {len} scalars"),
@@ -497,7 +517,7 @@ impl Checkpoint {
         if tokens.len() != 2 || tokens[0] != "state" {
             return Err(CheckpointError::at(line_no, "expected `state <count>`"));
         }
-        let n_state = parse_usize(line_no, tokens[1])?;
+        let n_state = cur.count(line_no, tokens[1], "stat")?;
         let mut state = Vec::with_capacity(n_state);
         for _ in 0..n_state {
             let (line_no, tokens) = cur.expect("stat line")?;
@@ -509,7 +529,7 @@ impl Checkpoint {
             }
             let name = tokens[1].to_owned();
             let len = parse_usize(line_no, tokens[2])?;
-            if tokens.len() != 3 + len {
+            if tokens.len() - 3 != len {
                 return Err(CheckpointError::at(
                     line_no,
                     format!(
@@ -606,6 +626,21 @@ impl<'a> Cursor<'a> {
         self.peeked.as_ref().and_then(|(_, t)| t.first().copied())
     }
 
+    /// Parses the record count `token` declared on `line` and rejects it
+    /// when more records are declared than lines remain, so a hostile
+    /// count can neither reserve memory nor run the parse off the end.
+    fn count(&self, line: usize, token: &str, what: &str) -> Result<usize, CheckpointError> {
+        let count = parse_usize(line, token)?;
+        let left = self.lines.clone().count() + usize::from(self.peeked.is_some());
+        if count > left {
+            return Err(CheckpointError::at(
+                line,
+                format!("declares {count} `{what}` records but only {left} lines follow"),
+            ));
+        }
+        Ok(count)
+    }
+
     fn expect(&mut self, what: &str) -> Result<(usize, Vec<&'a str>), CheckpointError> {
         self.next()
             .ok_or_else(|| CheckpointError::file(format!("truncated checkpoint: expected {what}")))
@@ -650,7 +685,7 @@ fn parse_mesh(
     let mut blocks = Vec::with_capacity(count);
     for _ in 0..count {
         let (line_no, tokens) = cur.expect(&format!("{tag} line"))?;
-        if tokens.len() != 3 + k || tokens[0] != tag {
+        if tokens.len() < 3 || tokens.len() - 3 != k || tokens[0] != tag {
             return Err(CheckpointError::at(
                 line_no,
                 format!("expected `{tag} <dc_start> <flags> <{k} perm wires>`"),

@@ -33,10 +33,10 @@ pub trait Layer {
 
     /// Mesh weights this layer materializes each step, in forward order.
     ///
-    /// The parallel build engine
-    /// ([`crate::mesh::prebuild_mesh_weights`]) collects these across a
-    /// model and constructs their mesh unitaries concurrently before the
-    /// forward pass; layers without photonic weights report none.
+    /// The mesh build engine ([`crate::mesh::prebuild_mesh_weights`])
+    /// collects these across a model and builds them, in layer order,
+    /// before the forward pass; layers without photonic weights report
+    /// none.
     fn mesh_weights<'g>(&self) -> Vec<&dyn crate::mesh::MeshWeight<'g>> {
         Vec::new()
     }

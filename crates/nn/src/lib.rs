@@ -26,20 +26,18 @@
 //!   [`train::evaluate_faulted`]) — with faults off the tape stays
 //!   byte-identical;
 //! * [`mesh`] — the topology-driven mesh-weight API: the object-safe
-//!   [`mesh::MeshWeight`] trait (stage → record → splice + finish) and the
-//!   **single** build engine behind every mesh family — fixed-topology PTC
-//!   weights here, frame-bound SuperMesh search weights in `adept` — whose
-//!   parallel scheduler records every layer's mesh unitaries on private
-//!   sub-tapes across the shared thread pool and splices back in layer
-//!   order, bit-identical (node ids, values, noise draws, gradients) to
-//!   the serial walk at any thread count;
+//!   [`mesh::MeshWeight`] trait (stage, then build onto the step tape) and
+//!   the **single** build engine behind every mesh family — fixed-topology
+//!   PTC weights here, frame-bound SuperMesh search weights in `adept` —
+//!   which stages every layer's leaves and noise in layer order and then
+//!   records each weight, bit-identical (node ids, values, noise draws,
+//!   gradients) at any thread count;
 //! * [`lower`] — the tape-free lowering surface: [`lower::lower_model`]
 //!   freezes a trained model into flat [`lower::LoweredStep`]s (weight
 //!   matrices materialized once through the tape builder, bit-identical to
 //!   a forward pass) that the `adept-infer` compiler turns into an
 //!   allocation-free execution plan.
 
-pub mod build;
 pub mod checkpoint;
 pub mod layers;
 pub mod lower;
@@ -50,8 +48,7 @@ pub mod optim;
 mod param;
 pub mod train;
 
-pub use build::prebuild_ptc_weights;
 pub use checkpoint::{load_backend, save_backend, Checkpoint, CheckpointError, ModelArch};
 pub use lower::{lower_model, lower_model_faulted, LowerError, LoweredStep};
-pub use mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight, StagedBuild};
+pub use mesh::{build_mesh_weight, prebuild_mesh_weights, MeshWeight, Staged};
 pub use param::{next_weight_uid, ForwardCtx, ParamId, ParamStore};

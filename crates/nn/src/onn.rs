@@ -24,11 +24,11 @@
 
 use crate::layers::{cols_to_nchw, im2col_var_scratch, Layer};
 use crate::lower::{LowerError, LoweredStep};
-use crate::mesh::{build_mesh_weight, MeshWeight, StagedBuild};
+use crate::mesh::{build_mesh_weight, MeshWeight, Staged};
 use crate::param::{next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_autodiff::{
     batched_permute_rows, batched_phase_rotate, batched_tile_product, batched_tile_product_grid,
-    record_segment, record_segment_pair, stack, Graph, TapeSegment, Var,
+    stack, Var,
 };
 use adept_linalg::{svd, CMatrix, C64};
 use adept_photonics::clements::decompose;
@@ -113,23 +113,13 @@ pub fn batched_tile_unitary<'g>(
     topo: &BlockMeshTopology,
     phases: Var<'g>,
 ) -> (Var<'g>, Var<'g>) {
-    batched_tile_unitary_on(ctx.graph, topo, phases)
-}
-
-/// [`batched_tile_unitary`] against a bare [`Graph`] — the form the
-/// parallel build scheduler records onto private sub-tapes, where no
-/// [`ForwardCtx`] exists (parameters arrive as segment imports).
-pub fn batched_tile_unitary_on<'g>(
-    graph: &'g Graph,
-    topo: &BlockMeshTopology,
-    phases: Var<'g>,
-) -> (Var<'g>, Var<'g>) {
     let k = topo.k();
     let b = topo.blocks().len();
     let shape = phases.shape();
     assert_eq!(shape.len(), 3, "phases must be [T, B, K]");
     assert_eq!(&shape[1..], &[b, k], "phases must be [T, B, K]");
     let t = shape[0];
+    let graph = ctx.graph;
     let mut m_re = graph.constant(Tensor::eye_batched(t, k));
     let mut m_im = graph.constant(Tensor::zeros(&[t, k, k]));
     // Rightmost block acts first: iterate blocks in reverse.
@@ -262,7 +252,7 @@ impl PtcWeight {
     }
 
     /// Process-unique id of this weight (key of the per-step prebuilt
-    /// cache; see [`crate::build::prebuild_ptc_weights`]).
+    /// cache; see [`crate::mesh::prebuild_mesh_weights`]).
     pub fn uid(&self) -> u64 {
         self.uid
     }
@@ -372,13 +362,10 @@ impl PtcWeight {
     /// of the tile count — and the values are bit-identical to the per-tile
     /// reference path ([`PtcWeight::build_per_tile`]).
     ///
-    /// Internally the build runs the [`MeshWeight`] three-phase walk
-    /// through [`build_mesh_weight`]; the splice invariant of
-    /// [`adept_autodiff::record_segment`] guarantees it records the exact
-    /// node sequence of the historical monolithic builder. When the
-    /// parallel scheduler ([`crate::mesh::prebuild_mesh_weights`]) already
-    /// materialized this weight for the step, that variable is returned
-    /// instead.
+    /// Internally the build runs the [`MeshWeight`] stage-then-build walk
+    /// through [`build_mesh_weight`]. When
+    /// [`crate::mesh::prebuild_mesh_weights`] already materialized this
+    /// weight for the step, that variable is returned instead.
     pub fn build<'g>(&self, ctx: &ForwardCtx<'g, '_>) -> Var<'g> {
         build_mesh_weight(ctx, self)
     }
@@ -397,20 +384,17 @@ impl<'g> MeshWeight<'g> for PtcWeight {
         self.phase_noise_std > 0.0
     }
 
-    /// Build phase 1 (main thread): creates the phase-parameter leaves on
-    /// the shared tape and draws this weight's phase noise from the shared
-    /// RNG stream — both in the exact order of the serial walk, so staging
-    /// all weights in layer order pins leaf ids and noise draws regardless
-    /// of how phase 2 is scheduled.
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild {
+    /// Build phase 1: creates the phase-parameter leaves on the tape and
+    /// draws this weight's phase noise from the shared RNG stream, so
+    /// staging all weights in layer order pins leaf ids and noise draws.
+    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> Staged<'g> {
         let n_tiles = self.grid_rows * self.grid_cols;
-        let mut imports = Vec::with_capacity(2 * n_tiles);
-        for &id in &self.phases_u {
-            imports.push(ctx.param(id).export_import());
-        }
-        for &id in &self.phases_v {
-            imports.push(ctx.param(id).export_import());
-        }
+        let leaves = self
+            .phases_u
+            .iter()
+            .chain(&self.phases_v)
+            .map(|&id| ctx.param(id))
+            .collect();
         let noise = if self.phase_noise_std > 0.0 {
             let (nu, nv) = self.sample_phase_noise(ctx, n_tiles);
             vec![nu, nv]
@@ -421,72 +405,38 @@ impl<'g> MeshWeight<'g> for PtcWeight {
             Some(scenario) => self.stage_faults(ctx, scenario, &noise, n_tiles),
             None => (Vec::new(), None),
         };
-        StagedBuild {
-            imports,
+        Staged {
+            leaves,
             noise,
             fault_deltas,
             fault_topos,
         }
     }
 
-    /// Build phase 2 (any thread): records `[stack, stack, noise, fault
-    /// delta, U-walk, V-walk]` on a private sub-tape (the noise and fault
-    /// adds only when active, and the walks against the fault-degraded
-    /// topologies when couplers died). With `parallel_uv` set the two mesh
-    /// walks — independent until the tile product — record as two sub-tape
-    /// builds running concurrently on the shared pool, spliced back in
-    /// U-then-V order so the node sequence is identical to the serial walk.
-    fn record_build_segment(&self, staged: &StagedBuild, parallel_uv: bool) -> TapeSegment {
-        let n_tiles = self.grid_rows * self.grid_cols;
-        record_segment(&staged.imports, |g, proxies| {
-            let (pu, pv) = proxies.split_at(n_tiles);
-            let mut su = stack(pu); // [T, Bu, K]
-            let mut sv = stack(pv); // [T, Bv, K]
-            if let [nu, nv] = staged.noise.as_slice() {
-                su = su.add(g.constant(nu.clone()));
-                sv = sv.add(g.constant(nv.clone()));
-            }
-            if let [fu, fv] = staged.fault_deltas.as_slice() {
-                su = su.add(g.constant(fu.clone()));
-                sv = sv.add(g.constant(fv.clone()));
-            }
-            let (topo_u, topo_v) = match &staged.fault_topos {
-                Some((tu, tv)) => (tu, tv),
-                None => (&self.topo_u, &self.topo_v),
-            };
-            let (u_re, u_im, v_re, v_im) = if parallel_uv {
-                let (seg_u, seg_v) = record_segment_pair(
-                    &[su.export_import()],
-                    |g2, v| {
-                        let (re, im) = batched_tile_unitary_on(g2, topo_u, v[0]);
-                        vec![re, im]
-                    },
-                    &[sv.export_import()],
-                    |g2, v| {
-                        let (re, im) = batched_tile_unitary_on(g2, topo_v, v[0]);
-                        vec![re, im]
-                    },
-                );
-                let u = g.splice(seg_u);
-                let v = g.splice(seg_v);
-                (u[0], u[1], v[0], v[1])
-            } else {
-                let (u_re, u_im) = batched_tile_unitary_on(g, topo_u, su);
-                let (v_re, v_im) = batched_tile_unitary_on(g, topo_v, sv);
-                (u_re, u_im, v_re, v_im)
-            };
-            vec![u_re, u_im, v_re, v_im]
-        })
-    }
-
-    /// Build phase 3 (main thread): splices the mesh-walk segment into the
-    /// step tape, creates the Σ leaves and records the fused `Re(UΣ·V)`
-    /// grid product — the serial walk's exact tail.
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g> {
+    /// Build phase 2: records `[stack, stack, noise, fault delta, U-walk,
+    /// V-walk]` (the noise and fault adds only when active, and the walks
+    /// against the fault-degraded topologies when couplers died), then
+    /// creates the Σ leaves and records the fused `Re(UΣ·V)` grid product.
+    fn build_staged(&self, ctx: &ForwardCtx<'g, '_>, staged: Staged<'g>) -> Var<'g> {
         let k = self.k;
         let n_tiles = self.grid_rows * self.grid_cols;
-        let spliced = ctx.graph.splice(segment);
-        let (u_re, u_im, v_re, v_im) = (spliced[0], spliced[1], spliced[2], spliced[3]);
+        let (pu, pv) = staged.leaves.split_at(n_tiles);
+        let mut su = stack(pu); // [T, Bu, K]
+        let mut sv = stack(pv); // [T, Bv, K]
+        if let [nu, nv] = staged.noise.as_slice() {
+            su = su.add(ctx.constant(nu.clone()));
+            sv = sv.add(ctx.constant(nv.clone()));
+        }
+        if let [fu, fv] = staged.fault_deltas.as_slice() {
+            su = su.add(ctx.constant(fu.clone()));
+            sv = sv.add(ctx.constant(fv.clone()));
+        }
+        let (topo_u, topo_v) = match &staged.fault_topos {
+            Some((tu, tv)) => (tu, tv),
+            None => (&self.topo_u, &self.topo_v),
+        };
+        let (u_re, u_im) = batched_tile_unitary(ctx, topo_u, su);
+        let (v_re, v_im) = batched_tile_unitary(ctx, topo_v, sv);
         // Σ broadcasts over U's columns: [T, 1, K] against [T, K, K].
         let sigs: Vec<Var<'g>> = self.sigma.iter().map(|&id| ctx.param(id)).collect();
         let sig = stack(&sigs).reshape(&[n_tiles, 1, k]);

@@ -1,15 +1,13 @@
 //! Training and evaluation loops, including the paper's variation-aware
 //! training (Gaussian phase noise injected during training, §4.1).
 //!
-//! Each step prebuilds every photonic layer's weight through the parallel
+//! Each step prebuilds every photonic layer's weight through the mesh
 //! build engine ([`crate::mesh::prebuild_mesh_weights`]) before running the
-//! forward chain, and replays the backward pass through
-//! `Graph::backward_parallel`, which evaluates the spliced per-weight
-//! gradient subtrees concurrently with main-thread accumulation in splice
-//! order. The resulting tape — node ids, values, noise draws and
-//! gradients — is **bit-identical at any thread count** (pinned by the
-//! root `parallel_build`/`parallel_backward` suites): all noise is drawn
-//! on the main thread in layer order during staging. For all-PTC models it is also bit-identical
+//! forward chain, then runs one `Graph::backward` pass. The resulting
+//! tape — node ids, values, noise draws and gradients — is
+//! **bit-identical at any thread count** (pinned by the root
+//! `parallel_build`/`parallel_backward` suites): all noise is drawn in
+//! layer order during staging. For all-PTC models it is also bit-identical
 //! to the historical walk that interleaved each build with its forward
 //! ops. One caveat: a model mixing *noisy* [`crate::onn::MziLinear`]-style
 //! layers (which draw from the shared RNG mid-forward) with noisy PTC
@@ -147,12 +145,9 @@ pub fn train_classifier(
                 loss
             };
             batches += 1;
-            // The spliced weight-build segments replay their gradient
-            // subtrees concurrently; bit-identical to `backward` at any
-            // thread count (see `Graph::backward_parallel`).
             let updates = {
                 let _span = step_span.child("backward");
-                let grads = graph.backward_parallel(loss);
+                let grads = graph.backward(loss);
                 ctx.into_param_grads(&grads)
             };
             {

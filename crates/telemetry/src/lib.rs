@@ -42,9 +42,8 @@
 //!   plan batches, requests served). Only these appear in
 //!   [`TelemetrySnapshot::render_deterministic`].
 //! - `Volatile` instruments count *scheduling* events that legitimately
-//!   differ with thread count (pool jobs spawned, steals, span replays —
-//!   `backward_parallel` falls back to the serial sweep at one thread).
-//!   They render only in the timing section.
+//!   differ with thread count (pool jobs spawned, steals — nothing is
+//!   spawned at one thread). They render only in the timing section.
 //!
 //! Durations are always machine-dependent and never appear in the
 //! deterministic render.

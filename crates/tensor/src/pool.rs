@@ -1,4 +1,4 @@
-//! A shared scoped thread pool for GEMM partitions and weight-build jobs.
+//! A shared scoped thread pool for GEMM partitions.
 //!
 //! The original kernels spawned fresh OS threads through
 //! [`std::thread::scope`] on *every* parallel GEMM — tens of thousands of
@@ -17,8 +17,8 @@
 //!
 //! # Help-while-wait (deadlock freedom under nesting)
 //!
-//! Jobs may themselves open scopes (a weight-build job fans out its U- and
-//! V-mesh sub-tape builds; each of those runs pooled GEMM sweeps). A naive
+//! Jobs may themselves open scopes (a pooled job may run pooled GEMM
+//! sweeps of its own). A naive
 //! pool would deadlock once every worker blocks in a nested join. Here a
 //! thread waiting on its scope *helps*: it pops queued tasks (newest first,
 //! so nested sub-jobs run before unrelated top-level work) and executes
@@ -54,9 +54,8 @@
 //! With `ONN_TELEMETRY` on, the pool reports volatile counters (jobs
 //! spawned, worker vs. helper task runs, worker busy/idle nanoseconds)
 //! and a queue-depth histogram. All of them are scheduling-dependent by
-//! nature — `schedule_segments` spawns nothing at one thread — so they
-//! render only in the snapshot's timing section, never in the
-//! deterministic diff.
+//! nature — nothing is spawned at one thread — so they render only in the
+//! snapshot's timing section, never in the deterministic diff.
 
 use adept_telemetry::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use adept_telemetry::{Counter, Histogram};
@@ -324,13 +323,6 @@ fn help_until_finished(job: &JobState) {
     }
 }
 
-/// Completion handle of one tracked job (see [`Scope::spawn_handle`]).
-///
-/// Lets the spawning thread wait for — and act on the output of — a
-/// *specific* job before the scope ends, which is how the weight-build
-/// scheduler overlaps main-thread splicing with still-recording segments.
-pub struct JobHandle(Arc<JobState>);
-
 /// A handle for spawning borrowed jobs onto the shared pool.
 ///
 /// All jobs spawned on a scope are joined when the scope ends (including on
@@ -348,16 +340,6 @@ impl<'env> Scope<'env> {
     where
         F: FnOnce() + Send + 'env,
     {
-        let _ = self.spawn_handle(f);
-    }
-
-    /// Queues `f` on the shared pool and returns its completion handle,
-    /// so the caller can [`Scope::wait`] on this job alone while later
-    /// jobs keep running.
-    pub fn spawn_handle<F>(&mut self, f: F) -> JobHandle
-    where
-        F: FnOnce() + Send + 'env,
-    {
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // SAFETY: the scope joins every job before `'env` ends — in
         // `scope()` on the normal path and in `Drop` during unwinding — so
@@ -365,15 +347,7 @@ impl<'env> Scope<'env> {
         let task: Task = unsafe { std::mem::transmute(task) };
         let state = JobState::new();
         self.jobs.push(state.clone());
-        shared().push(task, state.clone());
-        JobHandle(state)
-    }
-
-    /// Blocks until the given job finished, executing queued tasks while
-    /// waiting. A panic inside the job still propagates when the scope
-    /// ends, not here.
-    pub fn wait(&self, handle: &JobHandle) {
-        help_until_finished(&handle.0);
+        shared().push(task, state);
     }
 
     /// Blocks until every spawned job finished, executing queued tasks
@@ -473,34 +447,6 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate");
         assert_eq!(finished.load(Ordering::Relaxed), 4, "siblings still ran");
-    }
-
-    #[test]
-    fn per_job_wait_streams_results_in_spawn_order() {
-        // The streaming consumer of the weight-build scheduler: wait on
-        // job i, read its slot, move to job i+1 — all before the scope
-        // ends, while later jobs may still be running.
-        let slots: Vec<Mutex<Option<usize>>> = (0..6).map(|_| Mutex::new(None)).collect();
-        let mut consumed = Vec::new();
-        scope(|s| {
-            let handles: Vec<JobHandle> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    s.spawn_handle(move || {
-                        *lock_recover(slot) = Some(i * i);
-                    })
-                })
-                .collect();
-            for (i, h) in handles.iter().enumerate() {
-                s.wait(h);
-                let got = lock_recover(&slots[i])
-                    .take()
-                    .expect("job finished before wait returned");
-                consumed.push(got);
-            }
-        });
-        assert_eq!(consumed, vec![0, 1, 4, 9, 16, 25]);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! it needs far fewer devices than the `O(k)`-depth universal mesh — that's
 //! the structured low-cost design point between "fully dense" and
 //! "searched". Since the mesh-weight redesign, its trainable weights walk
-//! the exact same batched `[T, B, K]` builder and parallel
-//! stage→record→splice scheduler as every other block topology.
+//! the exact same batched `[T, B, K]` builder and stage-then-build engine
+//! as every other block topology.
 //!
 //! Run with: `cargo run --release --example butterfly_onn`
 
@@ -36,7 +36,7 @@ fn main() {
     let mut model = proxy_cnn(&mut store, InputShape::new(1, 8, 8), 4, 4, &backend, 1);
 
     // 3. Train through the unified engine (every step prebuilds all mesh
-    //    weights through the single stage→record→splice scheduler).
+    //    weights through the single stage-then-build engine).
     let cfg = TrainConfig {
         epochs: 8,
         batch_size: 24,

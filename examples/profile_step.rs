@@ -17,9 +17,8 @@
 //!   batch formation cannot vary — CI diffs this stdout across
 //!   `ONN_THREADS` ∈ {1, 8, default} and it must be byte-identical.
 //! * **stderr** — the timing render plus a fixed per-phase table (mesh
-//!   stage/record/splice, backward glue-sweep/span-replay, optimizer).
-//!   Durations are machine-dependent; rows for phases that never ran at
-//!   this thread count (e.g. span-replay at `ONN_THREADS=1`) print zeros.
+//!   stage/record, backward sweep, optimizer). Durations are
+//!   machine-dependent.
 //!
 //! `--json` replaces both text renders with the JSON-ish dump on stdout
 //! (not diffed by CI: it includes durations).
@@ -124,9 +123,7 @@ fn main() {
     for (label, path) in [
         ("stage", "mesh_build/stage"),
         ("record", "mesh_build/record"),
-        ("splice", "mesh_build/splice"),
-        ("glue-sweep", "backward/glue_sweep"),
-        ("span-replay", "backward/span_replay"),
+        ("bwd-sweep", "backward/glue_sweep"),
         ("optimizer", "train_step/optimizer"),
     ] {
         eprintln!("{}", phase_row(&snap, label, path));

@@ -245,6 +245,13 @@ fn faulted_plan_compiles_from_checkpoint_bit_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The checkpoint trailer's hash: FNV-1a over the body bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn corrupted_and_truncated_files_are_rejected() {
     let (_, _, ckpt) = trained(&Backend::Mzi { k: 4 }, 3, None);
@@ -273,6 +280,38 @@ fn corrupted_and_truncated_files_are_rejected() {
         err.message.contains("unsupported checkpoint version `v2`"),
         "{err}"
     );
+
+    // Checksum-valid but hostile: anyone can recompute the FNV-1a trailer,
+    // so each edit is re-sealed and must fail on the edited line instead
+    // of panicking or loading.
+    let lines: Vec<&str> = text.lines().collect();
+    let params_at = lines.iter().position(|l| l.starts_with("params ")).unwrap();
+    let state_at = lines.iter().position(|l| l.starts_with("state ")).unwrap();
+    let param: Vec<&str> = lines[params_at + 1].split(' ').collect();
+    let huge_ndim = format!(
+        "param {} 18446744073709551615 {}",
+        param[1],
+        param[3..].join(" ")
+    );
+    for (at, edit) in [
+        (params_at, "params 18446744073709551615".to_owned()),
+        (state_at, "state 18446744073709551615".to_owned()),
+        (params_at + 1, huge_ndim),
+        (
+            params_at + 1,
+            "param w 2 4294967296 4294967296 0".to_owned(),
+        ),
+    ] {
+        let mut edited: Vec<&str> = lines[..lines.len() - 1].to_vec();
+        edited[at] = &edit;
+        let mut body = edited.join("\n");
+        body.push('\n');
+        let resealed = format!("{body}end {:016x}\n", fnv1a(body.as_bytes()));
+        let err = Checkpoint::parse(&resealed)
+            .err()
+            .unwrap_or_else(|| panic!("{edit} loaded"));
+        assert_eq!(err.line, at + 1, "{edit}: {err}");
+    }
 
     // Not a checkpoint at all.
     std::fs::write(&path, "[device]\nname = \"nope\"\n").unwrap();

@@ -8,18 +8,18 @@
 //! are the whole point). A counting `MeshWeight` pins both sides, and an
 //! accuracy equality check pins that caching never changes a result.
 
-use adept_autodiff::{record_segment, TapeSegment, Var};
+use adept_autodiff::Var;
 use adept_datasets::{DatasetKind, SyntheticConfig};
 use adept_nn::layers::Layer;
-use adept_nn::mesh::{MeshWeight, StagedBuild};
+use adept_nn::mesh::{MeshWeight, Staged};
 use adept_nn::models::{proxy_cnn, Backend, InputShape};
 use adept_nn::train::evaluate_seeded;
 use adept_nn::{build_mesh_weight, next_weight_uid, ForwardCtx, ParamId, ParamStore};
 use adept_tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A linear weight that goes through the full stage → record → splice
-/// engine and counts how many times its segment is recorded.
+/// A linear weight that goes through the full stage-then-build engine and
+/// counts how many times it is built.
 struct CountingWeight {
     uid: u64,
     id: ParamId,
@@ -53,20 +53,16 @@ impl<'g> MeshWeight<'g> for CountingWeight {
         self.noisy
     }
 
-    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> StagedBuild {
-        StagedBuild {
-            imports: vec![ctx.param(self.id).export_import()],
-            ..StagedBuild::default()
+    fn stage(&self, ctx: &ForwardCtx<'g, '_>) -> Staged<'g> {
+        Staged {
+            leaves: vec![ctx.param(self.id)],
+            ..Staged::default()
         }
     }
 
-    fn record_build_segment(&self, staged: &StagedBuild, _parallel_uv: bool) -> TapeSegment {
+    fn build_staged(&self, _ctx: &ForwardCtx<'g, '_>, staged: Staged<'g>) -> Var<'g> {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        record_segment(&staged.imports, |_g, proxies| vec![proxies[0]])
-    }
-
-    fn finish_build(&self, ctx: &ForwardCtx<'g, '_>, segment: TapeSegment) -> Var<'g> {
-        ctx.graph.splice(segment)[0]
+        staged.leaves[0]
     }
 }
 

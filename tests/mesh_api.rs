@@ -2,8 +2,8 @@
 //!
 //! Pins the redesign's contract:
 //!
-//! * the **single** stage→record→splice engine
-//!   (`adept_nn::mesh::prebuild_mesh_weights`) schedules fixed-topology
+//! * the **single** stage-then-build engine
+//!   (`adept_nn::mesh::prebuild_mesh_weights`) builds fixed-topology
 //!   `PtcWeight`s and frame-bound SuperMesh weights — even **mixed in one
 //!   batch** — with node counts, values, noise-stream draws and
 //!   per-parameter gradients bit-identical across `ONN_THREADS`-style
@@ -158,7 +158,7 @@ fn mixed_batch_is_bit_identical_across_thread_counts() {
             .chain(b3.value().as_slice())
             .copied()
             .collect();
-        let grads = graph.backward_parallel(loss);
+        let grads = graph.backward(loss);
         let mut per_param: Grads = ctx
             .into_param_grads(&grads)
             .into_iter()

@@ -1,19 +1,15 @@
-//! Bit-determinism equivalence suite for the parallel backward scheduler.
+//! Bit-determinism suite for the backward pass under pooled GEMMs.
 //!
-//! `Graph::backward_parallel` partitions the reverse pass at the splice
-//! boundaries left by the weight-build scheduler: each per-weight
-//! `[stack, stack, noise, U-walk, V-walk]` segment replays its backward
-//! hooks on the shared thread pool while the glue between segments — and
-//! every cross-segment gradient accumulation — runs on the main thread in
-//! fixed splice (layer-index) order. These tests pin the contract:
+//! `Graph::backward` walks the tape once, in descending node order; the
+//! GEMM kernels inside its hooks partition their work by thread count.
+//! These tests pin the contract:
 //!
 //! * per-parameter gradients, loss bits and tape length are
-//!   **bit-identical** between `backward` and `backward_parallel` and
-//!   across thread counts {1, 2, 8};
+//!   **bit-identical** across thread counts {1, 2, 8};
 //! * edge cases hold: nodes recorded after the loss id, `requires_grad =
 //!   false` parents, prebuilt weights whose gradient is entirely `None`,
 //!   noisy (variation-aware) builds, the legacy interleaved walk, and the
-//!   SuperMesh search weights whose segments import differentiable frame
+//!   SuperMesh search weights whose walks consume differentiable frame
 //!   variables.
 //!
 //! Gradients compare on `f64::to_bits`, so even a `-0.0` vs `0.0` flip
@@ -24,7 +20,7 @@ use adept::{SuperMeshHandles, SuperPtcWeight};
 use adept_autodiff::Graph;
 use adept_nn::layers::{Flatten, Layer, Sequential};
 use adept_nn::onn::OnnLinear;
-use adept_nn::{prebuild_mesh_weights, prebuild_ptc_weights, ForwardCtx, ParamStore};
+use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::{set_gemm_threads, Tensor};
 use proptest::prelude::*;
@@ -54,7 +50,6 @@ fn run_step(
     seed: u64,
     threads: usize,
     prebuild: bool,
-    parallel_backward: bool,
 ) -> (usize, u64, Vec<(String, Vec<u64>)>) {
     set_gemm_threads(threads);
     let graph = Graph::new();
@@ -67,11 +62,7 @@ fn run_step(
     let loss = logits.cross_entropy_logits(labels);
     let loss_bits = loss.value().item().to_bits();
     let tape_len = graph.len();
-    let grads = if parallel_backward {
-        graph.backward_parallel(loss)
-    } else {
-        graph.backward(loss)
-    };
+    let grads = graph.backward(loss);
     let mut per_param: Vec<(String, Vec<u64>)> = ctx
         .into_param_grads(&grads)
         .into_iter()
@@ -125,67 +116,62 @@ fn parallel_backward_bit_identical_across_thread_counts() {
     let mut store = ParamStore::new();
     let mut model = ragged_mlp(&mut store, 0.0);
     let (x, labels) = blob_input(6, 10, 1);
-    let (len_s, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 7, 1, true, false);
+    let (len_s, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 7, 1, true);
     for threads in [1usize, 2, 8] {
-        let (len_p, loss_p, grads_p) =
-            run_step(&mut model, &store, &x, &labels, 7, threads, true, true);
+        let (len_p, loss_p, grads_p) = run_step(&mut model, &store, &x, &labels, 7, threads, true);
         assert_eq!(len_s, len_p, "tape length at {threads} threads");
         assert_eq!(loss_s, loss_p, "loss bits at {threads} threads");
         assert_grads_identical(
             &grads_s,
             &grads_p,
-            &format!("parallel at {threads} threads"),
+            &format!("backward at {threads} threads"),
         );
     }
 }
 
 #[test]
 fn noisy_builds_backward_identically_in_parallel() {
-    // Variation-aware training: the noise constants inside the replayed
-    // segments are `requires_grad = false` parents — workers must swallow
-    // their contributions exactly like the serial walk.
+    // Variation-aware training: the noise constants are `requires_grad =
+    // false` parents, whose contributions the reverse pass must drop at
+    // every thread count.
     let _guard = lock();
     let mut store = ParamStore::new();
     let mut model = ragged_mlp(&mut store, 0.03);
     let (x, labels) = blob_input(4, 10, 3);
-    let (_, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 11, 1, true, false);
+    let (_, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 11, 1, true);
     for threads in [2usize, 8] {
-        let (_, loss_p, grads_p) =
-            run_step(&mut model, &store, &x, &labels, 11, threads, true, true);
+        let (_, loss_p, grads_p) = run_step(&mut model, &store, &x, &labels, 11, threads, true);
         assert_eq!(loss_s, loss_p, "noisy loss at {threads} threads");
-        assert_grads_identical(&grads_s, &grads_p, "noisy parallel backward");
+        assert_grads_identical(&grads_s, &grads_p, "noisy backward");
     }
 }
 
 #[test]
 fn legacy_interleaved_walk_backward_matches_serial() {
-    // Without the prebuild scheduler each layer's parameter leaves sit
-    // *between* the spliced segments, so only a prefix of spans is
-    // eligible for off-thread replay — the mixed span/glue path must still
-    // be bit-identical.
+    // Without the prebuild each layer's parameter leaves sit between the
+    // previous layers' builds and forward ops.
     let _guard = lock();
     let mut store = ParamStore::new();
     let mut model = ragged_mlp(&mut store, 0.0);
     let (x, labels) = blob_input(5, 10, 2);
-    let (_, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 3, 1, false, false);
+    let (_, loss_s, grads_s) = run_step(&mut model, &store, &x, &labels, 3, 1, false);
     for threads in [2usize, 8] {
-        let (_, loss_p, grads_p) =
-            run_step(&mut model, &store, &x, &labels, 3, threads, false, true);
+        let (_, loss_p, grads_p) = run_step(&mut model, &store, &x, &labels, 3, threads, false);
         assert_eq!(loss_s, loss_p, "legacy-walk loss at {threads} threads");
-        assert_grads_identical(&grads_s, &grads_p, "legacy-walk parallel backward");
+        assert_grads_identical(&grads_s, &grads_p, "legacy-walk backward");
     }
 }
 
 #[test]
 fn nodes_recorded_after_the_loss_are_ignored() {
     // A second forward pass (including a whole prebuilt weight rebuild)
-    // recorded after the loss: `backward_parallel` must replay exactly the
-    // prefix the serial walk replays.
+    // recorded after the loss: `backward` must replay only the prefix up
+    // to the loss.
     let _guard = lock();
     let mut store = ParamStore::new();
     let mut model = ragged_mlp(&mut store, 0.0);
     let (x, labels) = blob_input(4, 10, 5);
-    let mut step = |threads: usize, parallel: bool| -> (u64, Vec<(String, Vec<u64>)>) {
+    let mut step = |threads: usize| -> (u64, Vec<(String, Vec<u64>)>) {
         set_gemm_threads(threads);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 9);
@@ -193,15 +179,11 @@ fn nodes_recorded_after_the_loss_are_ignored() {
         let xv = graph.constant(x.clone());
         let logits = model.forward(&ctx, xv);
         let loss = logits.cross_entropy_logits(&labels);
-        // Recorded after the loss id: more spliced segments plus glue.
+        // Recorded after the loss id: more weight builds and forward ops.
         let xv2 = graph.constant(x.clone());
         let extra = model.forward(&ctx, xv2);
         let _ = extra.square().sum();
-        let grads = if parallel {
-            graph.backward_parallel(loss)
-        } else {
-            graph.backward(loss)
-        };
+        let grads = graph.backward(loss);
         let mut per_param: Vec<(String, Vec<u64>)> = ctx
             .into_param_grads(&grads)
             .into_iter()
@@ -211,19 +193,19 @@ fn nodes_recorded_after_the_loss_are_ignored() {
         set_gemm_threads(0);
         (loss.value().item().to_bits(), per_param)
     };
-    let (loss_s, grads_s) = step(1, false);
+    let (loss_s, grads_s) = step(1);
     for threads in [2usize, 8] {
-        let (loss_p, grads_p) = step(threads, true);
+        let (loss_p, grads_p) = step(threads);
         assert_eq!(loss_s, loss_p, "post-loss nodes at {threads} threads");
-        assert_grads_identical(&grads_s, &grads_p, "post-loss parallel backward");
+        assert_grads_identical(&grads_s, &grads_p, "post-loss backward");
     }
 }
 
 #[test]
 fn gradient_free_segments_are_skipped_identically() {
     // Two weights are prebuilt but the loss only consumes the first: the
-    // second span's incoming gradient is entirely `None`, so neither
-    // replay may produce gradients for its parameters.
+    // second weight's incoming gradient is entirely `None`, so no thread
+    // count may produce gradients for its parameters.
     let _guard = lock();
     let mut store = ParamStore::new();
     let topo = BlockMeshTopology::butterfly(4);
@@ -231,11 +213,11 @@ fn gradient_free_segments_are_skipped_identically() {
     let unused = OnnLinear::new(&mut store, "unused", 8, 6, topo.clone(), topo, 21);
     let mut rng = StdRng::seed_from_u64(6);
     let x = Tensor::rand_uniform(&mut rng, &[3, 8], -1.0, 1.0);
-    let step = |threads: usize, parallel: bool| -> Vec<(String, Vec<u64>)> {
+    let step = |threads: usize| -> Vec<(String, Vec<u64>)> {
         set_gemm_threads(threads);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 2);
-        prebuild_ptc_weights(&ctx, &[&used.weight, &unused.weight]);
+        prebuild_mesh_weights(&ctx, &[&used.weight, &unused.weight]);
         let w = used.weight.build(&ctx);
         let _w2 = unused.weight.build(&ctx);
         let loss = graph
@@ -243,11 +225,7 @@ fn gradient_free_segments_are_skipped_identically() {
             .matmul(w.transpose())
             .square()
             .sum();
-        let grads = if parallel {
-            graph.backward_parallel(loss)
-        } else {
-            graph.backward(loss)
-        };
+        let grads = graph.backward(loss);
         let mut per_param: Vec<(String, Vec<u64>)> = ctx
             .into_param_grads(&grads)
             .into_iter()
@@ -257,29 +235,28 @@ fn gradient_free_segments_are_skipped_identically() {
         set_gemm_threads(0);
         per_param
     };
-    let grads_s = step(1, false);
+    let grads_s = step(1);
     assert!(
         grads_s.iter().all(|(name, _)| !name.starts_with("unused")),
         "unused weight must receive no gradient"
     );
     for threads in [2usize, 8] {
-        let grads_p = step(threads, true);
+        let grads_p = step(threads);
         assert_grads_identical(&grads_s, &grads_p, "gradient-free segment");
     }
 }
 
 #[test]
 fn super_weight_backward_replays_identically() {
-    // Search weights import *differentiable* frame variables (relaxed
-    // permutations, binarized couplers, Gumbel gates) into their spliced
-    // segments: the deferred merge must deliver every span's frame
-    // contributions in splice order, bit for bit.
+    // Search weights read *differentiable* frame variables (relaxed
+    // permutations, binarized couplers, Gumbel gates) shared by both
+    // weights: their accumulated gradients must match bit for bit.
     let _guard = lock();
     let mut store = ParamStore::new();
     let h = SuperMeshHandles::register(&mut store, 4, 3, 1, 1);
     let w1 = SuperPtcWeight::new(&mut store, "w1", 6, 5, 4, 3, 70);
     let w2 = SuperPtcWeight::new(&mut store, "w2", 9, 7, 4, 3, 71);
-    let step = |threads: usize, parallel: bool| -> (usize, u64, Vec<(String, Vec<u64>)>) {
+    let step = |threads: usize| -> (usize, u64, Vec<(String, Vec<u64>)>) {
         set_gemm_threads(threads);
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, true, 5);
@@ -291,11 +268,7 @@ fn super_weight_backward_replays_identically() {
         let loss = b1.square().sum().add(b2.square().sum());
         let loss_bits = loss.value().item().to_bits();
         let tape_len = graph.len();
-        let grads = if parallel {
-            graph.backward_parallel(loss)
-        } else {
-            graph.backward(loss)
-        };
+        let grads = graph.backward(loss);
         let mut per_param: Vec<(String, Vec<u64>)> = ctx
             .into_param_grads(&grads)
             .into_iter()
@@ -305,9 +278,9 @@ fn super_weight_backward_replays_identically() {
         set_gemm_threads(0);
         (tape_len, loss_bits, per_param)
     };
-    let (len_s, loss_s, grads_s) = step(1, false);
+    let (len_s, loss_s, grads_s) = step(1);
     for threads in [1usize, 2, 8] {
-        let (len_p, loss_p, grads_p) = step(threads, true);
+        let (len_p, loss_p, grads_p) = step(threads);
         assert_eq!(len_s, len_p, "super tape length at {threads} threads");
         assert_eq!(loss_s, loss_p, "super loss bits at {threads} threads");
         assert_grads_identical(&grads_s, &grads_p, &format!("super at {threads} threads"));
@@ -318,8 +291,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random layer stacks / shapes / K / noise / thread counts: the
-    /// parallel backward replays to the same tape length, loss bits and
-    /// per-parameter gradient bytes as the serial replay.
+    /// backward pass at 2, 4 or 8 threads gives the same tape length, loss
+    /// bits and per-parameter gradient bytes as at one thread.
     #[test]
     fn random_models_backward_bit_identically(
         seed in 0u64..1000,
@@ -359,11 +332,11 @@ proptest! {
         let x = Tensor::rand_uniform(&mut rng, &[n, 1, 1, dims[0]], -1.0, 1.0);
         let labels: Vec<usize> = (0..n).map(|i| i % classes).collect();
         let (len_s, loss_s, grads_s) =
-            run_step(&mut model, &store, &x, &labels, seed, 1, true, false);
+            run_step(&mut model, &store, &x, &labels, seed, 1, true);
         let (len_p, loss_p, grads_p) =
-            run_step(&mut model, &store, &x, &labels, seed, threads, true, true);
+            run_step(&mut model, &store, &x, &labels, seed, threads, true);
         prop_assert_eq!(len_s, len_p, "tape length");
         prop_assert_eq!(loss_s, loss_p, "loss bits");
-        assert_grads_identical(&grads_s, &grads_p, "proptest parallel backward");
+        assert_grads_identical(&grads_s, &grads_p, "proptest backward");
     }
 }

@@ -1,17 +1,16 @@
-//! Bit-determinism equivalence suite for the parallel weight-build
-//! scheduler.
+//! Bit-determinism equivalence suite for the weight prebuild.
 //!
-//! The scheduler (`adept_nn::prebuild_ptc_weights`) records every layer's
-//! mesh-unitary walk on a private sub-tape across the shared thread pool
-//! and splices the segments back in layer-index order. These tests pin the
-//! contract:
+//! The prebuild (`adept_nn::prebuild_mesh_weights`) stages every layer's
+//! parameter leaves and noise in layer order, then records each layer's
+//! mesh walk onto the step tape. The GEMM kernels inside those walks and
+//! inside the backward pass partition their work by thread count. These
+//! tests pin the contract:
 //!
-//! * the spliced tape — node count, values, noise-stream draws and
-//!   per-parameter gradients — is **bit-identical** across thread counts
-//!   {1, 2, 8};
-//! * the parallel schedule is **bit-identical in values and gradients** to
-//!   the legacy serial walk that interleaves each layer's build with its
-//!   forward ops;
+//! * the tape — node count, values, noise-stream draws and per-parameter
+//!   gradients — is **bit-identical** across thread counts {1, 2, 8};
+//! * the prebuild is **bit-identical in values and gradients** to the
+//!   legacy walk that interleaves each layer's build with its forward
+//!   ops;
 //! * ragged (non-multiple-of-K) layers with cropped edge tiles and noisy
 //!   (variation-aware) builds obey the same guarantees.
 //!
@@ -20,7 +19,7 @@
 use adept_autodiff::Graph;
 use adept_nn::layers::{Flatten, Layer, Sequential};
 use adept_nn::onn::{OnnConv2d, OnnLinear, PtcWeight};
-use adept_nn::{prebuild_mesh_weights, prebuild_ptc_weights, ForwardCtx, ParamStore};
+use adept_nn::{prebuild_mesh_weights, ForwardCtx, ParamStore};
 use adept_photonics::BlockMeshTopology;
 use adept_tensor::{set_gemm_threads, Conv2dGeometry, Tensor};
 use proptest::prelude::*;
@@ -128,7 +127,7 @@ fn multi_layer_mlp_bit_identical_across_thread_counts() {
 #[test]
 fn parallel_schedule_matches_legacy_serial_walk() {
     // The legacy walk interleaves each layer's build with its forward ops;
-    // the scheduler builds all weights first. Tape layout differs, but
+    // the prebuild builds all weights first. Tape layout differs, but
     // values and gradients must match bit for bit.
     let _guard = lock();
     let mut store = ParamStore::new();
@@ -138,15 +137,15 @@ fn parallel_schedule_matches_legacy_serial_walk() {
     for threads in [1usize, 8] {
         let (_, loss_p, grads_p) = run_step(&mut model, &store, &x, &labels, 3, threads, true);
         assert_eq!(loss_legacy, loss_p, "loss vs legacy at {threads} threads");
-        assert_grads_identical(&grads_legacy, &grads_p, "scheduler vs legacy walk");
+        assert_grads_identical(&grads_legacy, &grads_p, "prebuild vs legacy walk");
     }
 }
 
 #[test]
 fn noisy_builds_draw_identical_streams_at_every_thread_count() {
     // Variation-aware training: phase noise is drawn from the shared RNG in
-    // layer order during staging, never on workers — so noisy weights are
-    // bit-identical across thread counts AND against the legacy walk.
+    // layer order during staging — so noisy weights are bit-identical
+    // across thread counts AND against the legacy walk.
     let _guard = lock();
     let mut store = ParamStore::new();
     let mut model = ragged_mlp(&mut store, 0.03);
@@ -162,10 +161,10 @@ fn noisy_builds_draw_identical_streams_at_every_thread_count() {
 #[test]
 fn mixed_mzi_and_ptc_noisy_model_is_thread_count_invariant() {
     // MziLinear draws mesh-drift noise from the shared RNG mid-forward.
-    // With the scheduler, PTC noise is drawn at staging time instead of
+    // With the prebuild, PTC noise is drawn at staging time instead of
     // interleaved with the Mzi draws — a different (documented) fixed
-    // stream than the historical walk, but still drawn entirely on the
-    // main thread: every thread count must produce identical bits.
+    // stream than the historical walk, but every thread count must
+    // produce identical bits.
     use adept_nn::onn::MziLinear;
     let _guard = lock();
     let mut store = ParamStore::new();
@@ -230,7 +229,7 @@ fn conv_layers_with_cropped_tiles_stay_deterministic() {
     let labels = vec![0usize, 2];
     let (len_1, loss_1, grads_1) = run_step(&mut model, &store, &x, &labels, 9, 1, true);
     let (_, loss_legacy, grads_legacy) = run_step(&mut model, &store, &x, &labels, 9, 1, false);
-    assert_eq!(loss_1, loss_legacy, "scheduler vs legacy conv walk");
+    assert_eq!(loss_1, loss_legacy, "prebuild vs legacy conv walk");
     assert_grads_identical(&grads_1, &grads_legacy, "conv vs legacy");
     for threads in [2usize, 8] {
         let (len_t, loss_t, grads_t) = run_step(&mut model, &store, &x, &labels, 9, threads, true);
@@ -242,9 +241,8 @@ fn conv_layers_with_cropped_tiles_stay_deterministic() {
 
 #[test]
 fn single_weight_uv_fork_matches_serial_build() {
-    // Within one weight the U- and V-mesh walks fork onto the pool; the
-    // spliced result must equal the serial build exactly — including when
-    // the weight is built directly (no scheduler).
+    // One weight's U- and V-mesh walks at 2 and 8 GEMM threads, prebuilt
+    // or built directly, must equal the single-threaded direct build.
     let _guard = lock();
     let mut store = ParamStore::new();
     let topo = BlockMeshTopology::butterfly(8);
@@ -255,7 +253,7 @@ fn single_weight_uv_fork_matches_serial_build() {
         let graph = Graph::new();
         let ctx = ForwardCtx::new(&graph, &store, false, 0);
         if prebuild {
-            prebuild_ptc_weights(&ctx, &[weight]);
+            prebuild_mesh_weights(&ctx, &[weight]);
         }
         let w = weight.build(&ctx);
         set_gemm_threads(0);
@@ -279,8 +277,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random layer stacks / shapes / K / noise / thread counts: the
-    /// spliced tape replays to the same loss and per-parameter gradients
-    /// as the serial tape, bit for bit.
+    /// prebuilt tape replays to the same loss and per-parameter gradients
+    /// as the single-threaded legacy walk, bit for bit.
     #[test]
     fn random_models_replay_bit_identically(
         seed in 0u64..1000,
@@ -326,9 +324,9 @@ proptest! {
             run_step(&mut model, &store, &x, &labels, seed, 1, true);
         let (_, loss_par, grads_par) =
             run_step(&mut model, &store, &x, &labels, seed, threads, true);
-        prop_assert_eq!(loss_serial, loss_sched1, "scheduler(1) vs legacy");
-        prop_assert_eq!(loss_serial, loss_par, "scheduler({}) vs legacy", threads);
-        assert_grads_identical(&grads_serial, &grads_sched1, "scheduler(1)");
-        assert_grads_identical(&grads_serial, &grads_par, "scheduler(par)");
+        prop_assert_eq!(loss_serial, loss_sched1, "prebuild(1) vs legacy");
+        prop_assert_eq!(loss_serial, loss_par, "prebuild({}) vs legacy", threads);
+        assert_grads_identical(&grads_serial, &grads_sched1, "prebuild(1)");
+        assert_grads_identical(&grads_serial, &grads_par, "prebuild(par)");
     }
 }
